@@ -154,7 +154,7 @@ class PhysicalNode:
         cap = self.capacity.values[cpu_index]
         if cap <= 0:
             return 0.0
-        return float(min(self.used().values[cpu_index] / cap, 1.0))
+        return float(min(self.used_values()[cpu_index] / cap, 1.0))
 
     def utilization_vector(self) -> ResourceVector:
         """Per-dimension utilization fractions (usage / capacity)."""

@@ -471,8 +471,8 @@ class GroupManager(Component):
                 reports.append(
                     {
                         "capacity": node.capacity.values.tolist(),
-                        "reserved": node.reserved().values.tolist(),
-                        "used": node.used().values.tolist(),
+                        "reserved": node.reserved_values().tolist(),
+                        "used": node.used_values().tolist(),
                         "vm_count": node.vm_count,
                     }
                 )

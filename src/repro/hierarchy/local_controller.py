@@ -35,7 +35,7 @@ from repro.monitoring.collector import HostMonitor
 from repro.monitoring.estimators import make_estimator
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
-from repro.simulation.batch import CoalescedTicker, DeadlineTable
+from repro.simulation.batch import CoalescedTicker, DeadlineTable, Lease, TickHandle
 from repro.simulation.engine import Simulator
 
 #: Name of the shared node registry service (node_id -> PhysicalNode).
@@ -88,10 +88,10 @@ class LocalController(Component):
         self.current_gl: Optional[str] = None
         #: GM heartbeat failure detector (a Timeout or a DeadlineTable handle).
         self._gm_timeout = None
-        #: Heartbeat lease: ``(gm_endpoint, DeadlineHandle)`` of the assigned
-        #: GM's detector for this LC -- when held, heartbeats re-arm it
-        #: directly at delivery time instead of sending a message.
-        self._gm_lease = None
+        #: The coalesced heartbeat tick.  While it holds a :class:`Lease` on
+        #: the assigned GM's detector for this LC, its group re-arms that
+        #: detector at delivery time instead of calling ``_send_heartbeat``.
+        self._heartbeat: Optional[TickHandle] = None
         self._joining = False
         self._last_overload_report = -float("inf")
         self._last_underload_report = -float("inf")
@@ -127,13 +127,12 @@ class LocalController(Component):
                     name=f"{self.name}:monitoring",
                 )
             )
-            self._timers.append(
-                ticker.register(
-                    self.config.lc_heartbeat_interval,
-                    self._send_heartbeat,
-                    name=f"{self.name}:heartbeat",
-                )
+            self._heartbeat = ticker.register(
+                self.config.lc_heartbeat_interval,
+                self._send_heartbeat,
+                name=f"{self.name}:heartbeat",
             )
+            self._timers.append(self._heartbeat)
         else:
             self.add_timer(self.config.monitoring_interval, self._monitoring_tick)
             self.add_timer(self.config.lc_heartbeat_interval, self._send_heartbeat)
@@ -152,7 +151,7 @@ class LocalController(Component):
         if self.assigned_gm is not None:
             self.multicast.group(gm_heartbeat_group(self.assigned_gm)).unsubscribe(self.name)
         self.assigned_gm = None
-        self._gm_lease = None
+        self._set_gm_lease(None)
 
     def recover(self) -> None:  # noqa: D102 - documented on Component
         self.node.state = NodeState.ON
@@ -215,7 +214,7 @@ class LocalController(Component):
     def _joined(self, gm_name: str) -> None:
         self._joining = False
         self.assigned_gm = gm_name
-        self._gm_lease = None
+        self._set_gm_lease(None)
         self.multicast.group(gm_heartbeat_group(gm_name)).subscribe(self.name)
         if self._deterministic_network():
             # An assigned LC only consults the Group Leader channel while
@@ -264,11 +263,22 @@ class LocalController(Component):
             ):
                 # Symmetric fast path for the reverse direction: the GM
                 # published its detector for this LC as a heartbeat lease, so
-                # our periodic heartbeat can re-arm it at delivery time
-                # instead of sending a message (see ``_send_heartbeat``).
+                # the heartbeat tick re-arms it to delivery time + timeout --
+                # the exact deadline the GM's ``_on_lc_heartbeat`` would set
+                # on receipt -- instead of sending a message.  The tick group
+                # renews all its leased members in one write per GM table,
+                # skipping any whose LC or GM endpoint is disconnected, as
+                # the transport would have dropped their messages.
                 handle = heartbeat_leases(self.sim).get((gm_name, self.name))
                 if handle is not None:
-                    self._gm_lease = (self.network.endpoint(gm_name), handle)
+                    self._set_gm_lease(
+                        Lease(
+                            handle,
+                            self.endpoint,
+                            self.network.endpoint(gm_name),
+                            self.network.config.base_latency,
+                        )
+                    )
         else:
             self._gm_timeout = self.add_timeout(self.config.heartbeat_timeout, self._gm_lost)
         if self._rejoin_span is not None:
@@ -288,9 +298,13 @@ class LocalController(Component):
             and config.loss_probability == 0
         )
 
+    def _set_gm_lease(self, lease: Optional[Lease]) -> None:
+        if self._heartbeat is not None:
+            self._heartbeat.set_lease(lease)
+
     def _gm_lost(self) -> None:
         """The assigned GM's heartbeats stopped: rejoin the hierarchy (Section II.E)."""
-        self._gm_lease = None
+        self._set_gm_lease(None)
         gl_group = self.multicast.group(GL_HEARTBEAT_GROUP)
         if gl_group.is_paused(self.name):
             # Catch up on the Group Leader heartbeats skipped while paused:
@@ -324,18 +338,6 @@ class LocalController(Component):
     # ------------------------------------------------------------- heartbeats
     def _send_heartbeat(self) -> None:
         if self.assigned_gm is None:
-            return
-        lease = self._gm_lease
-        if lease is not None:
-            # Deterministic fast path: re-arm the GM's detector for this LC
-            # to delivery time + timeout -- the exact deadline its
-            # ``_on_lc_heartbeat`` would set on receipt -- and skip the
-            # message entirely.  Mirror the transport's drop rules: a
-            # disconnected sender's send, or a delivery to a disconnected
-            # GM, would never have restarted the detector.
-            gm_endpoint, handle = lease
-            if self.endpoint.connected and gm_endpoint is not None and gm_endpoint.connected:
-                handle.restart_later(self.sim.now + self.network.config.base_latency)
             return
         self.network.send(
             Message(

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.network.message import Message, MessageType
 from repro.network.transport import Network
+from repro.simulation.batch import deadline_columns
 
 
 class MulticastGroup:
@@ -46,6 +47,11 @@ class MulticastGroup:
         #: failure detector: ``name -> (endpoint, deadline_handle)``.  Each
         #: publish re-arms them in one vectorized call instead of a delivery.
         self._deadline_sinks: Dict[str, Tuple[Any, Any]] = {}
+        #: Caches rebuilt only when membership changes (subscribe,
+        #: unsubscribe, pause, resume): the unpaused subscribers in fan-out
+        #: order, and the sinks as ``(DeadlineColumn, endpoints)`` per table.
+        self._recipients: Optional[List[str]] = None
+        self._sink_columns: Optional[list] = None
 
     # ---------------------------------------------------------- subscription
     def subscribe(self, endpoint_name: str) -> None:
@@ -53,6 +59,7 @@ class MulticastGroup:
         if endpoint_name not in self._subscriber_set:
             self._subscriber_set.add(endpoint_name)
             self._subscribers.append(endpoint_name)
+            self._membership_changed()
 
     def unsubscribe(self, endpoint_name: str) -> None:
         """Remove an endpoint from the group (idempotent)."""
@@ -61,6 +68,11 @@ class MulticastGroup:
             self._subscribers.remove(endpoint_name)
             self._paused.discard(endpoint_name)
             self._deadline_sinks.pop(endpoint_name, None)
+            self._membership_changed()
+
+    def _membership_changed(self) -> None:
+        self._recipients = None
+        self._sink_columns = None
 
     # --------------------------------------------------------- paused members
     def pause(self, endpoint_name: str, deadline=None) -> None:
@@ -89,11 +101,13 @@ class MulticastGroup:
             if deadline is not None:
                 endpoint = self.network.endpoint(endpoint_name)
                 self._deadline_sinks[endpoint_name] = (endpoint, deadline)
+            self._membership_changed()
 
     def resume(self, endpoint_name: str) -> None:
         """Resume deliveries to a paused member (idempotent)."""
         self._paused.discard(endpoint_name)
         self._deadline_sinks.pop(endpoint_name, None)
+        self._membership_changed()
 
     def is_paused(self, endpoint_name: str) -> bool:
         """True if the member is subscribed but currently paused."""
@@ -145,48 +159,41 @@ class MulticastGroup:
         if self._publish_metric is not None:
             self._publish_metric.inc()
         self._latch.append((self.network.sim.now, sender, payload))
-        paused = self._paused
-        if paused:
-            messages = [
-                Message(msg_type=msg_type, sender=sender, recipient=subscriber, payload=payload)
-                for subscriber in self._subscribers
-                if subscriber != sender and subscriber not in paused
+        recipients = self._recipients
+        if recipients is None:
+            paused = self._paused
+            recipients = self._recipients = [
+                subscriber for subscriber in self._subscribers if subscriber not in paused
             ]
-            if self._deadline_sinks and self.network.is_connected(sender):
-                self._restart_deadline_sinks()
-        else:
-            messages = [
-                Message(msg_type=msg_type, sender=sender, recipient=subscriber, payload=payload)
-                for subscriber in self._subscribers
-                if subscriber != sender
-            ]
+        messages = [
+            Message(msg_type=msg_type, sender=sender, recipient=subscriber, payload=payload)
+            for subscriber in recipients
+            if subscriber != sender
+        ]
+        if self._deadline_sinks and self.network.is_connected(sender):
+            self._restart_deadline_sinks()
         self.network.send_many(sender, messages, size_bytes=size_bytes)
         return len(messages)
 
     def _restart_deadline_sinks(self) -> None:
         """Re-arm every connected sink's failure detector at delivery time.
 
-        Handles are collected in subscriber (fan-out) order, so the restart
+        Sinks are columned in subscriber (fan-out) order, so the restart
         stamps -- the tie-break for simultaneous expiries -- match what the
         per-delivery restarts of an unpaused fan-out would have produced.
         """
+        columns = self._sink_columns
+        if columns is None:
+            sinks = self._deadline_sinks
+            columns = self._sink_columns = deadline_columns(
+                (sinks[name][1], sinks[name][0])
+                for name in self._subscribers
+                if name in sinks and sinks[name][0] is not None
+            )
         base = self.network.sim.now + self.network.config.base_latency
-        sinks = self._deadline_sinks
-        tables: Dict[int, Tuple[Any, List[Any]]] = {}
-        for name in self._subscribers:
-            sink = sinks.get(name)
-            if sink is None:
-                continue
-            endpoint, handle = sink
-            if endpoint is None or not endpoint.connected:
-                continue  # its delivery would have been dropped
-            entry = tables.get(id(handle.table))
-            if entry is None:
-                tables[id(handle.table)] = (handle.table, [handle])
-            else:
-                entry[1].append(handle)
-        for table, handles in tables.values():
-            table.restart_handles(handles, base)
+        for column, endpoints in columns:
+            # A disconnected sink's delivery would have been dropped.
+            column.restart(base, [endpoint.connected for endpoint in endpoints])
 
     def __repr__(self) -> str:
         return f"<MulticastGroup {self.group_name} subscribers={len(self._subscribers)}>"

@@ -50,7 +50,7 @@ from repro.core.base import ConsolidationAlgorithm
 from repro.core.distributed_aco import DistributedACOConsolidation
 from repro.core.ffd import BestFitDecreasing, FirstFitDecreasing, WorstFitDecreasing
 from repro.core.migration_plan import plan_migrations
-from repro.core.placement import placement_from_view
+from repro.core.placement import PlacementError, placement_from_view
 from repro.policies.decisions import MigrationPlan
 from repro.policies.registry import register_policy
 from repro.policies.thresholds import UtilizationThresholds
@@ -110,7 +110,14 @@ class ReconfigurationPolicy:
         current, vm_list, node_list = placement_from_view(view, vms, rows=rows)
         plan.hosts_before = current.hosts_used()
 
-        result = self._consolidate(current, vm_list, node_list)
+        try:
+            result = self._consolidate(current, vm_list, node_list)
+        except PlacementError as error:
+            # A heuristic that runs out of hosts has no plan to offer: keep
+            # the current placement, exactly as for an infeasible result.
+            plan.hosts_after = plan.hosts_before
+            plan.reason = f"consolidation failed ({error}); keeping current placement"
+            return plan
         target = result.placement
         plan.consolidation_summary = result.summary()
 

@@ -46,7 +46,7 @@ def _node_cpu_utilization(node: PhysicalNode) -> float:
     capacity = node.capacity.values[index]
     if capacity <= 0:
         return 0.0
-    return float(node.used().values[index] / capacity)
+    return float(node.used_values()[index] / capacity)
 
 
 def _candidate_view(
@@ -93,7 +93,7 @@ class OverloadRelocationPolicy:
         if source_capacity <= 0:
             plan.reason = "source has no CPU capacity"
             return plan
-        current_usage = source.used().values[cpu]
+        current_usage = source.used_values()[cpu]
         target_usage = self.thresholds.overload * source_capacity
         if current_usage <= target_usage:
             plan.reason = "source not overloaded"

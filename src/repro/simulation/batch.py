@@ -31,13 +31,19 @@ This module replaces both patterns without changing observable behaviour:
 Both are drop-in life-cycle citizens: handles expose ``stop()`` /
 ``cancel()`` / ``restart()`` so :class:`~repro.hierarchy.common.Component`
 teardown treats them like the timers they replace.
+
+The two meet in *heartbeat leases*: a tick member whose only duty is to
+re-arm a peer's failure detector holds a :class:`Lease` instead of a
+callback, and its group renews all of them as cached
+:class:`DeadlineColumn` batches -- one numpy write per deadline table per
+tick instead of one Python call per member.
 """
 
 from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,25 +53,68 @@ from repro.simulation.engine import Event, SimulationError, Simulator
 _INITIAL_DEADLINES = 32
 
 
+class Lease(NamedTuple):
+    """A tick member's heartbeat, renewed as a failure-detector restart.
+
+    Each tick re-arms ``handle`` to ``now + delay + duration`` -- the
+    deadline the watcher's handler would set on receiving the heartbeat
+    ``delay`` seconds after it was sent -- provided both ``sender`` and
+    ``watcher`` endpoints are connected, mirroring the transport dropping the
+    message otherwise.
+    """
+
+    handle: "DeadlineHandle"
+    sender: Any
+    watcher: Any
+    delay: float
+
+
 class TickHandle:
     """One member of a coalesced tick group (quacks like a PeriodicTimer)."""
 
-    __slots__ = ("callbacks", "name", "fired_count", "_running")
+    __slots__ = ("callbacks", "name", "_group", "_running", "_lease", "_joined_at", "_stopped_at")
 
-    def __init__(self, callbacks: Tuple[Callable[[], Any], ...], name: str) -> None:
+    def __init__(
+        self, group: "_TickGroup", callbacks: Tuple[Callable[[], Any], ...], name: str
+    ) -> None:
         self.callbacks = callbacks
         self.name = name
-        self.fired_count = 0
+        self._group = group
         self._running = True
+        self._lease: Optional[Lease] = None
+        self._joined_at = group.fires
+        self._stopped_at = 0
 
     @property
     def running(self) -> bool:
         """True until :meth:`stop` is called."""
         return self._running
 
+    @property
+    def fired_count(self) -> int:
+        """Group ticks this member took part in (callbacks run or lease renewed)."""
+        return (self._group.fires if self._running else self._stopped_at) - self._joined_at
+
+    @property
+    def lease(self) -> Optional[Lease]:
+        """The heartbeat lease replacing this member's callbacks, if any."""
+        return self._lease
+
+    def set_lease(self, lease: Optional[Lease]) -> None:
+        """Renew ``lease`` on every tick instead of running the callbacks.
+
+        ``None`` hands the member back to its callbacks.  The group rebuilds
+        its cached lease columns on the next tick.
+        """
+        self._lease = lease
+        self._group.changed()
+
     def stop(self) -> None:
         """Stop firing; the group drops the member at its next tick."""
-        self._running = False
+        if self._running:
+            self._running = False
+            self._stopped_at = self._group.fires
+            self._group.changed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._running else "stopped"
@@ -73,29 +122,64 @@ class TickHandle:
 
 
 class _TickGroup:
-    """One event chain firing every member sharing an (interval, grid) pair."""
+    """One event chain firing every member sharing an (interval, grid) pair.
+
+    Membership is read through a plan cached until a member joins, stops or
+    changes its lease: the members that still run Python callbacks, their
+    phase count, and the leased members as per-table deadline columns.
+    """
 
     def __init__(self, ticker: "CoalescedTicker", interval: float, first_fire: float) -> None:
         self.ticker = ticker
         self.interval = float(interval)
         self.next_fire = float(first_fire)
         self.members: List[TickHandle] = []
+        #: Ticks fired so far (members derive ``fired_count`` from it).
+        self.fires = 0
+        self._plan: Optional[Tuple[List[TickHandle], int, list]] = None
         self._pending: Optional[Event] = None
         self._pending = ticker.sim.schedule_at(first_fire, self._tick)
 
-    def _tick(self) -> None:
+    def changed(self) -> None:
+        """Membership or a lease changed: rebuild the plan at the next tick."""
+        self._plan = None
+
+    def _build_plan(self) -> Tuple[List[TickHandle], int, list]:
         self.members = [member for member in self.members if member._running]
+        callers = [member for member in self.members if member._lease is None]
+        phases = max((len(member.callbacks) for member in callers), default=0)
+        by_delay: Dict[float, list] = {}
+        for member in self.members:
+            lease = member._lease
+            if lease is not None:
+                by_delay.setdefault(lease.delay, []).append(
+                    (lease.handle, (lease.sender, lease.watcher))
+                )
+        columns = [
+            (delay, column, pairs)
+            for delay, entries in by_delay.items()
+            for column, pairs in deadline_columns(entries)
+        ]
+        self._plan = (callers, phases, columns)
+        return self._plan
+
+    def _tick(self) -> None:
+        plan = self._plan or self._build_plan()
         if not self.members:
             self.ticker._drop_group(self)
             self._pending = None
             return
-        phases = max(len(member.callbacks) for member in self.members)
+        self.fires += 1
+        callers, phases, columns = plan
+        now = self.ticker.sim.now
+        for delay, column, pairs in columns:
+            column.restart(
+                now + delay, [sender.connected and watcher.connected for sender, watcher in pairs]
+            )
         profiler = self.ticker.profiler
         for phase in range(phases):
-            for member in self.members:
+            for member in callers:
                 if member._running and phase < len(member.callbacks):
-                    if phase == 0:
-                        member.fired_count += 1
                     if profiler is None:
                         member.callbacks[phase]()
                     else:
@@ -104,7 +188,7 @@ class _TickGroup:
                         begin = perf_counter()
                         member.callbacks[phase]()
                         profiler.record(member.callbacks[phase], perf_counter() - begin)
-        self.next_fire = self.ticker.sim.now + self.interval
+        self.next_fire = now + self.interval
         self._pending = self.ticker.sim.schedule_at(self.next_fire, self._tick)
 
     def cancel(self) -> None:
@@ -160,9 +244,10 @@ class CoalescedTicker:
             group = _TickGroup(self, interval, first_fire)
             self._groups[key] = group
         handle = TickHandle(
-            tuple(callbacks), name or getattr(callbacks[0], "__name__", "tick")
+            group, tuple(callbacks), name or getattr(callbacks[0], "__name__", "tick")
         )
         group.members.append(handle)
+        group.changed()
         return handle
 
     def _drop_group(self, group: _TickGroup) -> None:
@@ -236,6 +321,62 @@ class DeadlineHandle:
         not grow the deadline arrays monotonically.
         """
         self.table.release(self)
+
+
+class DeadlineColumn:
+    """Entries of one :class:`DeadlineTable` restarted together, in a fixed order.
+
+    The column caches the handles' (index, generation) pairs as arrays, so a
+    batch restart through :meth:`DeadlineTable.restart_handles` costs one
+    numpy write and no per-handle Python work.  Entries released or recycled
+    after the column was built fail the table's generation check and are
+    skipped, exactly like their stale handles would be.
+    """
+
+    __slots__ = ("table", "indices", "generations")
+
+    def __init__(self, table: "DeadlineTable", indices: np.ndarray, generations: np.ndarray) -> None:
+        self.table = table
+        self.indices = indices
+        self.generations = generations
+
+    @classmethod
+    def of(cls, handles: Sequence[DeadlineHandle]) -> "DeadlineColumn":
+        """The column of ``handles`` (all from one table), in sequence order."""
+        return cls(
+            handles[0].table,
+            np.array([handle.index for handle in handles], dtype=np.int64),
+            np.array([handle.generation for handle in handles], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return int(self.indices.size)
+
+    def restart(self, base: float, live: Sequence[bool]) -> None:
+        """Re-arm the entries whose ``live`` flag is set to ``base + duration``."""
+        if all(live):
+            self.table.restart_handles(self, base)
+        elif any(live):
+            keep = np.array(live, dtype=bool)
+            self.table.restart_handles(
+                DeadlineColumn(self.table, self.indices[keep], self.generations[keep]), base
+            )
+
+
+def deadline_columns(entries: Iterable[Tuple[DeadlineHandle, Any]]) -> List[Tuple[DeadlineColumn, list]]:
+    """Split ordered ``(handle, gate)`` pairs into one column per table.
+
+    Returns ``(column, gates)`` pairs in first-seen table order; within a
+    column, entries keep their order in ``entries`` -- the order that assigns
+    restart stamps, the tie-break for equal deadlines.  ``gates`` is the
+    matching list of whatever the caller checks before each restart.
+    """
+    by_table: Dict[int, Tuple[list, list]] = {}
+    for handle, gate in entries:
+        handles, gates = by_table.setdefault(id(handle.table), ([], []))
+        handles.append(handle)
+        gates.append(gate)
+    return [(DeadlineColumn.of(handles), gates) for handles, gates in by_table.values()]
 
 
 class DeadlineTable:
@@ -333,7 +474,7 @@ class DeadlineTable:
             self._free.append(handle.index)
 
     # ----------------------------------------------------------------- arming
-    def restart_handles(self, handles: Sequence[DeadlineHandle], base: float) -> None:
+    def restart_handles(self, handles: Sequence[DeadlineHandle] | DeadlineColumn, base: float) -> None:
         """Re-arm a batch of entries to ``base + duration`` each, in sequence order.
 
         The vectorized twin of calling ``handle.restart()`` on every handle
@@ -344,13 +485,17 @@ class DeadlineTable:
         have restarted them would have been dropped.  ``base`` may lie in the
         future: a heartbeat publisher restarts its listeners' detectors at
         *delivery* time (publish time + latency) without waiting for the
-        delivery event.
+        delivery event.  ``handles`` may be a cached :class:`DeadlineColumn`
+        of this table.
         """
         n = len(handles)
         if n == 0:
             return
-        idx = np.fromiter((h.index for h in handles), dtype=np.int64, count=n)
-        gens = np.fromiter((h.generation for h in handles), dtype=np.int64, count=n)
+        if isinstance(handles, DeadlineColumn):
+            idx, gens = handles.indices, handles.generations
+        else:
+            idx = np.fromiter((h.index for h in handles), dtype=np.int64, count=n)
+            gens = np.fromiter((h.generation for h in handles), dtype=np.int64, count=n)
         valid = self._generations[idx] == gens
         if not bool(valid.all()):
             idx = idx[valid]

@@ -6,9 +6,18 @@ never the simulated times, the firing order, or the observable behaviour.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from repro.simulation.batch import CoalescedTicker, DeadlineTable
+from repro.simulation.batch import (
+    CoalescedTicker,
+    DeadlineColumn,
+    DeadlineTable,
+    Lease,
+    deadline_columns,
+)
 from repro.simulation.engine import SimulationError
 from repro.simulation.timers import PeriodicTimer, Timeout
 
@@ -270,3 +279,153 @@ class TestVectorizedRestarts:
         handle.release()
         handle.restart_later(1.0)  # must not raise, must not re-arm
         assert not handle.armed
+
+
+def _endpoint(connected: bool = True) -> SimpleNamespace:
+    """Anything with a ``connected`` flag gates a lease renewal."""
+    return SimpleNamespace(connected=connected)
+
+
+def _leased_column_indices(handle) -> list:
+    """Entry indices in the tick group's cached lease columns (after a tick)."""
+    _callers, _phases, columns = handle._group._plan
+    return [int(i) for _delay, column, _pairs in columns for i in column.indices]
+
+
+class TestLeaseColumns:
+    """Tick-group heartbeat leases: one array write per table per tick."""
+
+    def test_column_restart_matches_per_handle_restart_later(self, sim):
+        table, mirror = DeadlineTable(sim), DeadlineTable(sim)
+        fired, mirrored = [], []
+        handles = [table.arm(5.0, lambda i=i: fired.append((i, sim.now))) for i in range(5)]
+        twins = [mirror.arm(5.0, lambda i=i: mirrored.append((i, sim.now))) for i in range(5)]
+        order = [3, 0, 4, 1, 2]
+        sim.run(until=2.0)
+        DeadlineColumn.of([handles[i] for i in order]).restart(2.001, [True] * 5)
+        for i in order:
+            twins[i].restart_later(2.001)
+        np.testing.assert_array_equal(table._deadlines, mirror._deadlines)
+        np.testing.assert_array_equal(table._order, mirror._order)
+        sim.run(until=20.0)
+        # Equal deadlines fire in restart (column) order, at base + duration.
+        assert fired == mirrored == [(i, 2.001 + 5.0) for i in order]
+
+    def test_column_restart_skips_entries_that_are_not_live(self, sim):
+        table = DeadlineTable(sim)
+        fired = []
+        handles = [table.arm(5.0, lambda i=i: fired.append((i, sim.now))) for i in range(3)]
+        sim.run(until=2.0)
+        DeadlineColumn.of(handles).restart(2.0, [True, False, True])
+        sim.run(until=20.0)
+        assert fired == [(1, 5.0), (0, 7.0), (2, 7.0)]
+
+    def test_deadline_columns_split_by_table_and_keep_order(self, sim):
+        first, second = DeadlineTable(sim), DeadlineTable(sim)
+        a = [first.arm(5.0, lambda: None) for _ in range(3)]
+        b = [second.arm(5.0, lambda: None) for _ in range(2)]
+        entries = [(a[2], "a2"), (b[1], "b1"), (a[0], "a0"), (b[0], "b0"), (a[1], "a1")]
+        columns = deadline_columns(entries)
+        assert [column.table for column, _ in columns] == [first, second]
+        assert [gates for _, gates in columns] == [["a2", "a0", "a1"], ["b1", "b0"]]
+        assert columns[0][0].indices.tolist() == [a[2].index, a[0].index, a[1].index]
+        assert len(columns[1][0]) == 2
+
+    def test_leased_members_renew_like_per_member_restart_later(self, sim):
+        """Stamps and deadlines equal those of per-member restart_later calls."""
+        ticker = CoalescedTicker(sim)
+        table, mirror = DeadlineTable(sim), DeadlineTable(sim)
+        handles = [table.arm(8.0, lambda: None) for _ in range(5)]
+        twins = [mirror.arm(8.0, lambda: None) for _ in range(5)]
+        member_order = [3, 1, 4, 0, 2]  # members join in a different order
+        unleased = 4
+        called = []
+        for i in member_order:
+            member = ticker.register(2.0, lambda i=i: called.append(i))
+            if i != unleased:
+                member.set_lease(Lease(handles[i], _endpoint(), _endpoint(), 0.001))
+        # The reference: every leased member re-arms its twin itself.
+        for i in member_order:
+            if i != unleased:
+                ticker.register(2.0, lambda t=twins[i]: t.restart_later(sim.now + 0.001))
+        sim.run(until=6.0)
+        # Only the unleased member ran its callback; the others renewed.
+        assert called == [unleased] * 3
+        leased = [i for i in member_order if i != unleased]
+        np.testing.assert_array_equal(
+            table._deadlines[[handles[i].index for i in leased]],
+            mirror._deadlines[[twins[i].index for i in leased]],
+        )
+        assert table._deadlines[handles[0].index] == 6.0 + 0.001 + 8.0
+        assert table._deadlines[handles[unleased].index] == 8.0
+        # Stamps follow member order, exactly as the per-member calls' do.
+        stamps = table._order[[handles[i].index for i in leased]]
+        twin_stamps = mirror._order[[twins[i].index for i in leased]]
+        np.testing.assert_array_equal(stamps, twin_stamps)
+        assert stamps.tolist() == sorted(stamps.tolist())
+
+    def test_disconnected_sender_or_watcher_is_skipped(self, sim):
+        ticker = CoalescedTicker(sim)
+        table = DeadlineTable(sim)
+        fired = []
+        handles = [table.arm(8.0, lambda i=i: fired.append((i, sim.now))) for i in range(3)]
+        sender_down, watcher_down = _endpoint(), _endpoint()
+        gates = [(_endpoint(), _endpoint()), (sender_down, _endpoint()), (_endpoint(), watcher_down)]
+        for handle, (sender, watcher) in zip(handles, gates):
+            ticker.register(2.0, lambda: None).set_lease(Lease(handle, sender, watcher, 0.0))
+        sim.run(until=3.0)  # renewed at 2.0 -> deadlines 10.0
+        sender_down.connected = False
+        watcher_down.connected = False
+        sim.run(until=30.0)
+        # Member 0 keeps renewing; 1 and 2 expire at their last renewal + 8.
+        assert fired == [(1, 10.0), (2, 10.0)]
+        assert handles[0].armed
+
+    def test_fired_count_includes_lease_renewals(self, sim):
+        ticker = CoalescedTicker(sim)
+        table = DeadlineTable(sim)
+        member = ticker.register(1.0, lambda: None)
+        member.set_lease(Lease(table.arm(8.0, lambda: None), _endpoint(), _endpoint(), 0.0))
+        sim.run(until=3.0)
+        member.stop()
+        sim.run(until=5.0)
+        assert member.fired_count == 3
+
+    def test_columns_are_cached_until_membership_changes(self, sim):
+        ticker = CoalescedTicker(sim)
+        table = DeadlineTable(sim)
+        handles = [table.arm(8.0, lambda: None) for _ in range(3)]
+        members = [ticker.register(2.0, lambda: None) for _ in range(3)]
+        for member, handle in zip(members, handles):
+            member.set_lease(Lease(handle, _endpoint(), _endpoint(), 0.0))
+        # A same-instant registration joins the group: the plan is rebuilt.
+        late = ticker.register(2.0, lambda: None)
+        assert late._group is members[0]._group and late._group._plan is None
+        sim.run(until=2.0)
+        plan = members[0]._group._plan
+        assert _leased_column_indices(late) == [h.index for h in handles]
+        sim.run(until=4.0)
+        assert members[0]._group._plan is plan  # unchanged membership: reused
+        members[1].stop()
+        sim.run(until=6.0)
+        assert _leased_column_indices(late) == [handles[0].index, handles[2].index]
+        members[0].set_lease(None)
+        sim.run(until=8.0)
+        assert _leased_column_indices(late) == [handles[2].index]
+        callers, _phases, _columns = late._group._plan
+        assert callers == [members[0], late]
+
+    def test_released_handle_stays_inert_when_its_entry_is_recycled(self, sim):
+        ticker = CoalescedTicker(sim)
+        table = DeadlineTable(sim)
+        fired = []
+        stale = table.arm(8.0, lambda: fired.append("stale"))
+        ticker.register(2.0, lambda: None).set_lease(Lease(stale, _endpoint(), _endpoint(), 0.0))
+        sim.run(until=2.0)
+        stale.release()  # the watcher forgets the peer
+        recycled = table.arm(3.0, lambda: fired.append(("recycled", sim.now)))
+        assert recycled.index == stale.index
+        sim.run(until=10.0)
+        # Renewals at 4, 6, 8 and 10 carried the stale generation: skipped.
+        assert fired == [("recycled", 5.0)]
+        assert not stale.armed

@@ -13,6 +13,8 @@ import pytest
 
 from repro.cluster.vm import VMState
 from repro.hierarchy import HierarchyConfig, SnoozeSystem, SystemSpec
+from repro.scenarios import ScenarioRunner, ScenarioSpec, WorkloadPhase
+from repro.scenarios.spec import TimelineEvent
 from repro.workloads import BatchArrival, UniformDemandDistribution, WorkloadGenerator
 
 
@@ -190,3 +192,60 @@ class TestCascadingFailures:
         loaded_system.run(60.0)
         assert loaded_system.event_log.count("failure_injected") == 1
         assert loaded_system.event_log.count("elected_group_leader") >= 2
+
+
+def _faulty_deterministic_spec(coalesce: bool) -> ScenarioSpec:
+    """24 LCs under churn with an LC crash + recovery, a GM kill and a GL kill."""
+    return ScenarioSpec(
+        name="lease-path-faults",
+        description="heartbeat leases under LC, GM and GL failures",
+        duration=900.0,
+        local_controllers=24,
+        group_managers=3,
+        nodes_per_rack=12,
+        record_interval=60.0,
+        config={
+            "network": {"base_latency": 0.001, "jitter": 0.0, "loss_probability": 0.0},
+            "coalesce_events": coalesce,
+        },
+        phases=[
+            WorkloadPhase(
+                name="churn",
+                vm_count=40,
+                arrival={"kind": "poisson", "rate_per_hour": 240.0},
+                demand={"kind": "uniform", "low": 0.1, "high": 0.3},
+                trace={"kind": "constant", "level": 0.7},
+                lifetime={"kind": "exponential", "mean": 300.0, "minimum": 30.0},
+            )
+        ],
+        timeline=[
+            TimelineEvent(200.0, "kill_lc", {"name": "lc-005"}),
+            TimelineEvent(320.0, "recover", {"name": "lc-005"}),
+            TimelineEvent(450.0, "kill_gm", {"name": "gm-02"}),
+            TimelineEvent(600.0, "kill_leader"),
+        ],
+    )
+
+
+class TestLeasePathUnderFaults:
+    def test_lease_path_matches_message_path_through_failures(self):
+        """Heartbeat leases and deadline sinks change no outcome under faults.
+
+        ``coalesce_events=False`` sends every heartbeat as a message; the
+        default renews detectors through lease columns.  Every failure
+        detection, rejoin and election must land identically.
+        """
+        runs = {}
+        for coalesce in (False, True):
+            runner = ScenarioRunner(_faulty_deterministic_spec(coalesce), seed=5)
+            runs[coalesce] = (runner.run(), runner.system)
+        (messages, message_system), (leases, lease_system) = runs[False], runs[True]
+        assert leases.canonical_json() == messages.canonical_json()
+        availability = leases.availability
+        assert availability["failures_injected"] == 3 and availability["recoveries"] == 1
+        assert availability["elections"] == 2
+        # Not vacuous: the default run renewed heartbeats without messages,
+        # and the recovered LC leases the detector of the GM it rejoined.
+        assert lease_system.network.messages_sent < message_system.network.messages_sent
+        recovered = lease_system.local_controllers["lc-005"]
+        assert recovered.assigned_gm is not None and recovered._heartbeat.lease is not None

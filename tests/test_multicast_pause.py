@@ -23,6 +23,7 @@ from repro.hierarchy.system import SystemSpec
 from repro.network.message import MessageType
 from repro.network.multicast import MulticastRegistry
 from repro.network.transport import Network, NetworkConfig
+from repro.simulation.batch import DeadlineTable
 from repro.simulation.engine import Simulator
 
 
@@ -165,8 +166,6 @@ class TestDeadlineSinksAndLeases:
         network = Network(sim, NetworkConfig(base_latency=0.001, jitter=0.0))
         registry = MulticastRegistry(network)
         group = registry.group("hb")
-        from repro.simulation.batch import DeadlineTable
-
         table = DeadlineTable(sim)
         fired = []
         network.register("gm", lambda m: None)
@@ -188,8 +187,6 @@ class TestDeadlineSinksAndLeases:
         network = Network(sim, NetworkConfig(base_latency=0.001, jitter=0.0))
         registry = MulticastRegistry(network)
         group = registry.group("hb")
-        from repro.simulation.batch import DeadlineTable
-
         table = DeadlineTable(sim)
         fired = []
         network.register("gm", lambda m: None)
@@ -210,14 +207,14 @@ class TestDeadlineSinksAndLeases:
             for lc in det_system.local_controllers.values()
             if lc.assigned_gm is not None
         )
-        assert lc._gm_lease is not None
+        assert lc._heartbeat.lease is not None
         gm = det_system.group_managers[lc.assigned_gm]
         # The GM's detector for this LC is re-armed by the lease: advance far
         # beyond the heartbeat timeout and the LC must still be a member,
         # with its leased detector armed the whole time.
         det_system.run(60.0)
         assert lc.name in gm.local_controllers
-        _gm_endpoint, handle = lc._gm_lease
+        handle = lc._heartbeat.lease.handle
         assert handle.armed
 
     def test_lease_stops_with_the_lc_so_the_gm_detects_the_failure(self, det_system):
@@ -231,3 +228,164 @@ class TestDeadlineSinksAndLeases:
         det_system.run(3 * det_system.config.heartbeat_timeout)
         gm = det_system.group_managers[gm_name]
         assert lc.name not in gm.local_controllers  # failure detected
+
+
+def _det_system(coalesce: bool = True) -> SnoozeSystem:
+    system = SnoozeSystem(
+        SystemSpec(local_controllers=6, group_managers=2, entry_points=1),
+        config=HierarchyConfig(
+            seed=7,
+            network=NetworkConfig(base_latency=0.001, jitter=0.0),
+            coalesce_events=coalesce,
+        ),
+        seed=7,
+    )
+    system.start()
+    return system
+
+
+def _leased_entries(group) -> set:
+    """``(table, index)`` entries of a tick group's lease columns.
+
+    Reads the cached plan when there is one (a stale cache shows up here),
+    else builds it the way the group's next tick would.
+    """
+    _callers, _phases, columns = group._plan or group._build_plan()
+    return {(id(column.table), int(index)) for _, column, _ in columns for index in column.indices}
+
+
+def _entry(handle) -> tuple:
+    return (id(handle.table), handle.index)
+
+
+class TestCachedFanOut:
+    """Publish reads cached recipient lists and sink columns."""
+
+    def _sinks(self, names=("a", "b", "c")):
+        sim = Simulator()
+        network = Network(sim, NetworkConfig(base_latency=0.001, jitter=0.0))
+        group = MulticastRegistry(network).group("hb")
+        table = DeadlineTable(sim)
+        network.register("gm", lambda m: None)
+        handles = {}
+        for name in names:
+            network.register(name, lambda m: None)
+            group.subscribe(name)
+            handles[name] = table.arm(8.0, lambda: None)
+        return sim, network, group, table, handles
+
+    def test_sink_stamps_follow_subscriber_order_not_pause_order(self):
+        sim, _network, group, table, handles = self._sinks()
+        for name in ("c", "a", "b"):
+            group.pause(name, deadline=handles[name])
+        group.publish("gm", MessageType.GM_HEARTBEAT)
+        stamps = [int(table._order[handles[name].index]) for name in ("a", "b", "c")]
+        assert stamps == sorted(stamps) and len(set(stamps)) == 3
+        assert {float(table._deadlines[h.index]) for h in handles.values()} == {0.001 + 8.0}
+
+    def test_sink_columns_are_rebuilt_only_on_membership_changes(self):
+        sim, _network, group, table, handles = self._sinks()
+        for name in ("a", "b", "c"):
+            group.pause(name, deadline=handles[name])
+        group.publish("gm", MessageType.GM_HEARTBEAT)
+        columns = group._sink_columns
+        group.publish("gm", MessageType.GM_HEARTBEAT)
+        assert group._sink_columns is columns
+        group.resume("b")
+        assert group._sink_columns is None
+        sim.run(until=1.0)
+        group.publish("gm", MessageType.GM_HEARTBEAT)
+        # b is a plain recipient again: its detector keeps the t=0 renewal.
+        assert float(table._deadlines[handles["b"].index]) == 0.001 + 8.0
+        assert float(table._deadlines[handles["a"].index]) == 1.0 + 0.001 + 8.0
+        group.unsubscribe("a")
+        group.publish("gm", MessageType.GM_HEARTBEAT)
+        assert [c.indices.tolist() for c, _ in group._sink_columns] == [[handles["c"].index]]
+
+    def test_recipient_cache_follows_subscribe_and_unsubscribe(self):
+        sim = Simulator()
+        network = Network(sim, NetworkConfig(base_latency=0.001, jitter=0.0))
+        group = MulticastRegistry(network).group("chan")
+        received = []
+        for name in ("a", "b", "c", "d"):
+            network.register(name, lambda m, n=name: received.append((n, m.payload)))
+        group.subscribe("a")
+        group.subscribe("b")
+        assert group.publish("a", MessageType.GL_HEARTBEAT, payload=1) == 1
+        group.subscribe("c")
+        group.pause("b")
+        assert group.publish("a", MessageType.GL_HEARTBEAT, payload=2) == 1
+        group.resume("b")
+        group.unsubscribe("c")
+        group.subscribe("d")
+        assert group.publish("a", MessageType.GL_HEARTBEAT, payload=3) == 2
+        sim.run(until=1.0)
+        assert received == [("b", 1), ("c", 2), ("b", 3), ("d", 3)]
+
+
+class TestLeaseColumnInTheHierarchy:
+    """The LC heartbeat tick group's lease column against the message path."""
+
+    def _first_assigned(self, system):
+        return next(lc for lc in system.local_controllers.values() if lc.assigned_gm is not None)
+
+    def test_column_rebuilt_on_join_gm_loss_fail_recover_and_stop(self):
+        system = _det_system()
+        system.run(5.0)
+        lc = self._first_assigned(system)
+        first = lc._heartbeat.lease.handle
+        assert _entry(first) in _leased_entries(lc._heartbeat._group)  # joined
+        # GM loss: the LC falls back to its callback, then leases the new GM.
+        old_gm = lc.assigned_gm
+        system.kill_group_manager(old_gm)
+        lost = system.run_until(lambda: lc.assigned_gm is None, timeout=60.0, step=0.01)
+        assert lost and lc._heartbeat.lease is None
+        assert _entry(first) not in _leased_entries(lc._heartbeat._group)
+        assert system.run_until(lambda: lc.assigned_gm not in (None, old_gm), timeout=120.0)
+        second = lc._heartbeat.lease.handle
+        assert _entry(second) in _leased_entries(lc._heartbeat._group)
+        # Fail: the heartbeat member stops and the lease is cleared.
+        crashed = lc._heartbeat
+        system.kill_local_controller(lc.name)
+        assert not crashed.running and crashed.lease is None
+        assert crashed._group._plan is None
+        assert _entry(second) not in _leased_entries(crashed._group)
+        # Recover: a fresh heartbeat member leases the GM it rejoins.
+        system.recover_component(lc.name)
+        assert lc._heartbeat is not crashed
+        assert system.run_until(lambda: lc._heartbeat.lease is not None, timeout=120.0)
+        third = lc._heartbeat.lease.handle
+        assert _entry(third) in _leased_entries(lc._heartbeat._group)
+        # stop(): the member leaves its group's plan entirely.
+        member = lc._heartbeat
+        system.run(system.config.lc_heartbeat_interval)
+        lc.stop()
+        assert member._group._plan is None
+        assert _entry(third) not in _leased_entries(member._group)
+        assert member not in member._group.members
+
+    def _detection_times(self, coalesce: bool, cut: str):
+        system = _det_system(coalesce)
+        system.run(31.3)  # between heartbeat ticks
+        lc = next(
+            lc
+            for lc in system.local_controllers.values()
+            if lc.assigned_gm is not None and lc.assigned_gm != system.current_leader()
+        ) if cut == "gm" else self._first_assigned(system)
+        gm = lc.assigned_gm
+        if coalesce:
+            assert lc._heartbeat.lease is not None  # the lease path is engaged
+        system.network.disconnect(gm if cut == "gm" else lc.name)
+        system.run(3 * system.config.heartbeat_timeout)
+        return [
+            (record.timestamp, record.details.get("lc"))
+            for record in system.event_log.events("lc_removed")
+            if record.details["component"] == gm
+        ]
+
+    @pytest.mark.parametrize("cut", ["lc", "gm"])
+    def test_disconnected_endpoint_is_detected_as_on_the_message_path(self, cut):
+        leased = self._detection_times(True, cut)
+        messages = self._detection_times(False, cut)
+        assert leased, "the GM must detect the lost heartbeats"
+        assert leased == messages

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli.main import main
 from repro.cluster.node import NodeState
+from repro.core.placement import PlacementError
 from repro.hierarchy.config import HierarchyConfig
 from repro.policies import (
     AssignmentPolicy,
@@ -31,7 +32,7 @@ from repro.policies import (
     register_policy,
 )
 from repro.policies.registry import validate_policy_selection
-from repro.scenarios import ScenarioSpec, WorkloadPhase, run_scenario
+from repro.scenarios import ScenarioRunner, ScenarioSpec, WorkloadPhase, run_scenario
 from repro.scheduling import (
     RelocationDecision,
     ReconfigurationPlan,
@@ -246,6 +247,45 @@ class TestAssignmentPolicies:
     def test_empty_gm_list(self):
         assert RoundRobinAssignment().choose([], {}) is None
         assert LeastLoadedAssignment().choose([], {}) is None
+
+
+class _OutOfHosts:
+    """A consolidation heuristic that runs out of hosts."""
+
+    def consolidate(self, placement, **_kwargs):
+        raise PlacementError("worst-fit could not place VM 0")
+
+
+class TestReconfigurationFailSafe:
+    def test_heuristic_out_of_hosts_keeps_current_placement(self):
+        nodes = [make_node(f"node-{i}") for i in range(3)]
+        for index, node in enumerate(nodes):
+            node.place_vm(make_vm(cpu=0.2, memory=0.2, vm_id=index))
+        plan = ReconfigurationPolicy(algorithm=_OutOfHosts()).plan(nodes)
+        assert plan.moves == [] and plan.released_nodes == []
+        assert plan.hosts_after == plan.hosts_before == 3
+        assert "worst-fit could not place VM 0" in plan.reason
+        assert plan.reason.endswith("keeping current placement")
+
+    @pytest.mark.parametrize(
+        "reconfiguration, seed",
+        [("wfd", 801148508), ("bfd", 1095513148), ("ffd", 1323436024)],
+    )
+    def test_policy_matrix_cells_that_ran_out_of_hosts_complete(self, reconfiguration, seed):
+        """Catalog policy-matrix cells (steady-churn, best-fit placement) that
+        used to die with ``PlacementError`` out of the GM's reconfiguration tick."""
+        from repro.sweeps import get_sweep
+
+        run = next(
+            run
+            for run in get_sweep("policy-matrix").expand()
+            if run.scenario == "steady-churn"
+            and run.policies["placement"]["name"] == "best-fit"
+            and run.policies["reconfiguration"]["name"] == reconfiguration
+        )
+        result = ScenarioRunner(run.build_scenario_spec(), seed=seed, duration=run.duration).run()
+        assert result.availability["leader_at_end"] is not None
+        assert result.policies["reconfiguration"] == reconfiguration
 
 
 class TestHierarchyConfigPolicies:
